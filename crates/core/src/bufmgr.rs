@@ -84,9 +84,17 @@ impl Descriptor {
         self.dsts.count_ones()
     }
 
-    /// Iterate the destination outputs.
-    pub fn destinations(&self) -> impl Iterator<Item = PortId> + '_ {
-        (0..32).filter(|j| self.dsts & (1 << j) != 0).map(PortId)
+    /// Iterate the destination outputs in ascending order, one step per
+    /// set bit of [`Descriptor::dsts`].
+    pub fn destinations(&self) -> impl Iterator<Item = PortId> {
+        let mut m = self.dsts;
+        std::iter::from_fn(move || {
+            (m != 0).then(|| {
+                let j = m.trailing_zeros() as usize;
+                m &= m - 1;
+                PortId(j)
+            })
+        })
     }
 }
 
@@ -194,16 +202,15 @@ impl BufferManager {
     /// on every destination queue. `None` when the buffer is full.
     pub fn alloc(&mut self, desc: Descriptor) -> Option<Addr> {
         let addr = self.free.pop()?;
-        let dsts: Vec<PortId> = desc.destinations().collect();
-        debug_assert!(!dsts.is_empty());
+        debug_assert!(desc.dsts != 0);
         let slot = &mut self.slots[addr.index()];
         debug_assert!(slot.desc.is_none(), "free-list invariant violated");
         slot.refs = desc.fanout();
         let gen = slot.gen;
-        slot.desc = Some(desc);
-        for d in dsts {
+        for d in desc.destinations() {
             self.queues[d.index()].push_back((addr, gen));
         }
+        slot.desc = Some(desc);
         Some(addr)
     }
 
@@ -260,6 +267,26 @@ impl BufferManager {
             q.pop_front();
         }
         None
+    }
+
+    /// The live head-of-queue descriptor for an output, looking past
+    /// stale entries without discarding them: the same packet
+    /// [`BufferManager::head`] returns, with the queue left untouched.
+    pub fn live_head(&self, out: PortId) -> Option<(Addr, &Descriptor)> {
+        self.queues[out.index()].iter().find_map(|&(addr, gen)| {
+            let s = &self.slots[addr.index()];
+            match &s.desc {
+                Some(d) if s.gen == gen => Some((addr, d)),
+                _ => None,
+            }
+        })
+    }
+
+    /// Does `out`'s queue still hold stale entries (slots released while
+    /// queued)? [`BufferManager::head`] and
+    /// [`BufferManager::pop_and_free`] discard them as they surface.
+    pub fn has_stale(&self, out: PortId) -> bool {
+        self.queue_len(out) != self.queue_len_live(out)
     }
 
     /// Pop the head descriptor of an output queue for a read-wave

@@ -2,9 +2,10 @@
 //!
 //! §3.3: "we only need to generate the control signals for the first
 //! memory stage; the control signals for subsequent stages are delayed
-//! versions of the former." The RTL switch computes per-stage controls
-//! from its wave list (equivalent and convenient for tracing); this
-//! module implements the *hardware* structure — one
+//! versions of the former." The RTL switch keeps no control row: it
+//! derives the per-stage controls on demand from its wave ring
+//! (equivalent and convenient for tracing); this module implements the
+//! *hardware* structure — one
 //! [`simkernel::reg::DelayLine`] of control words, clocked once per cycle
 //! — and a checker that asserts, cycle by cycle, that the two views are
 //! identical. [`rtl::PipelinedSwitch`](crate::rtl::PipelinedSwitch) can

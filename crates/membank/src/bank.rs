@@ -226,6 +226,7 @@ impl SramBank {
 
     /// Mask a value to the declared width (what the physical array would
     /// actually store).
+    #[inline]
     fn mask(&self, v: u64) -> u64 {
         if self.width_bits == 64 {
             v
@@ -310,9 +311,25 @@ impl SramBank {
         Ok(())
     }
 
-    /// Debug peek that bypasses the port discipline (testbench only).
+    /// Read the word at `addr` without port bookkeeping: testbench
+    /// peeks, and models that enforce the one-access-per-cycle
+    /// discipline themselves (the pipelined RTL's per-cycle bank-busy
+    /// word). Not counted in [`SramBank::access_counts`].
     pub fn peek(&self, addr: Addr) -> u64 {
         self.data[addr.index()]
+    }
+
+    /// Write `value` (masked to width) at `addr` without port
+    /// bookkeeping, for models that enforce the port discipline
+    /// themselves. Keeps the ECC check code current, like
+    /// [`SramBank::write`]; not counted in [`SramBank::access_counts`].
+    #[inline]
+    pub fn store(&mut self, addr: Addr, value: u64) {
+        let masked = self.mask(value);
+        self.data[addr.index()] = masked;
+        if let Some(ecc) = &mut self.ecc {
+            ecc.code[addr.index()] = ecc_code(masked);
+        }
     }
 
     /// Fault injection: flip the bits of `mask` at `addr`, bypassing the

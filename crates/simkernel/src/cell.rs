@@ -130,6 +130,7 @@ impl Packet {
     /// for the mask decodes to the empty mask — an invalid header the
     /// switch's framing check rejects — rather than tripping a shift
     /// overflow in the decoder.
+    #[inline]
     pub fn decode_header_any(header: u64) -> (u32, u64) {
         if header & 0xff == 0xff {
             (((header >> 8) & 0xffff) as u32, header >> 24)
@@ -166,6 +167,7 @@ impl Packet {
     }
 
     /// The deterministic payload word `k` of packet `id` (k ≥ 1).
+    #[inline]
     pub fn payload_word(id: u64, k: usize) -> u64 {
         // SplitMix-style mix keeps words distinct across packets and
         // positions, which makes any mis-wired datapath fail loudly.

@@ -10,7 +10,10 @@
 //!    field), arrival/drop/overrun counters, and the *full probe event
 //!    stream* must match exactly.
 //! 2. `PipelinedSwitch` vs [`PipelinedSwitchRef`]: delivered packets,
-//!    `SwitchCounters`, and the probe stream must match exactly.
+//!    `SwitchCounters`, and the probe stream must match exactly — and,
+//!    driven in lockstep, the output words and fig. 5 control rows of
+//!    every cycle, for the unprobed kernel too, on the benchmark's
+//!    switch, store-and-forward and multicast.
 //! 3. All four memory organizations against the behavioral reference as
 //!    oracle: behavioral and pipelined must agree **cycle-exactly** on
 //!    the (output, head-cycle, tail-cycle) schedule; wide and
@@ -219,6 +222,174 @@ fn rtl_matches_scalar_reference_on_load_grid() {
         let e_new: ProbeLog = rec_new.with(|r| r.iter().cloned().collect());
         let e_ref: ProbeLog = rec_ref.with(|r| r.iter().cloned().collect());
         assert_eq!(e_new, e_ref, "load {load}: RTL probe streams diverged");
+    }
+}
+
+/// Render a framing-respecting wire schedule: `n` inputs, `s`-word
+/// packets, each started with probability `load / s` per free cycle and
+/// addressed to one output — or, with probability `mc`, to a random
+/// non-empty output set (multicast).
+fn render_rows(
+    n: usize,
+    s: usize,
+    load: f64,
+    mc: f64,
+    cycles: u64,
+    seed: u64,
+) -> Vec<Vec<Option<u64>>> {
+    let mut rng = SplitMix64::new(seed);
+    let mut current: Vec<Option<(Vec<u64>, usize)>> = vec![None; n];
+    let mut rows = Vec::new();
+    let mut id = 1u64;
+    let mut t = 0u64;
+    while t < cycles || current.iter().any(Option::is_some) {
+        let mut row = vec![None; n];
+        for (i, slot) in current.iter_mut().enumerate() {
+            if slot.is_none() && t < cycles && rng.chance(load / s as f64) {
+                let p = if rng.chance(mc) {
+                    let mask = 1 + rng.below_usize((1 << n) - 1) as u16;
+                    Packet::synth_multicast(id, i, mask, s, t)
+                } else {
+                    Packet::synth(id, i, rng.below_usize(n), s, t)
+                };
+                id += 1;
+                *slot = Some((p.words, 0));
+            }
+            if let Some((words, k)) = slot {
+                row[i] = Some(words[*k]);
+                *k += 1;
+                if *k == words.len() {
+                    *slot = None;
+                }
+            }
+        }
+        rows.push(row);
+        t += 1;
+    }
+    rows
+}
+
+/// Drive the dense kernel and the frozen scalar reference in lockstep
+/// over `rows`, then idle both to quiescence. Every cycle the output
+/// words and the fig. 5 control rows ([`PipelinedSwitch::stage_controls`]
+/// derived on demand vs the reference's stored row) must agree; at the
+/// end the reassembled deliveries, the counters and — with `probed` —
+/// the full probe streams must too. Returns the shared counters.
+fn lockstep_rtl(cfg: &SwitchConfig, rows: &[Vec<Option<u64>>], probed: bool) -> SwitchCounters {
+    let (n, s) = (cfg.n_out, cfg.stages());
+    let mut sw_new = PipelinedSwitch::new(cfg.clone());
+    let mut sw_ref = PipelinedSwitchRef::new(cfg.clone());
+    let rec_new = Shared::new(Recorder::unbounded());
+    let rec_ref = Shared::new(Recorder::unbounded());
+    if probed {
+        sw_new.attach_probe(rec_new.handle());
+        sw_ref.attach_probe(rec_ref.handle());
+    }
+    let mut col_new = OutputCollector::new(n, s);
+    let mut col_ref = OutputCollector::new(n, s);
+    let idle = vec![None; cfg.n_in];
+    let mut grace = 0;
+    for c in 0.. {
+        let wire = rows.get(c).unwrap_or(&idle);
+        if c >= rows.len() {
+            grace = if sw_new.is_quiescent() { grace + 1 } else { 0 };
+            if grace > s + 4 {
+                break;
+            }
+            assert!(c < rows.len() + 1_000_000, "kernel failed to drain");
+        }
+        let now = sw_new.now();
+        let out_new = sw_new.tick(wire).to_vec();
+        let out_ref = sw_ref.tick(wire).to_vec();
+        assert_eq!(out_new, out_ref, "cycle {now}: output words diverged");
+        assert_eq!(
+            sw_new.stage_controls(),
+            sw_ref.stage_controls(),
+            "cycle {now}: stage controls diverged"
+        );
+        assert_eq!(sw_new.is_quiescent(), sw_ref.is_quiescent());
+        col_new.observe(now, &out_new);
+        col_ref.observe(now, &out_ref);
+    }
+    let (d_new, d_ref) = (col_new.take(), col_ref.take());
+    assert!(!d_ref.is_empty(), "workload too thin");
+    assert!(
+        d_new.iter().all(|d| d.verify_payload()),
+        "corrupted payload"
+    );
+    assert_eq!(d_new, d_ref, "deliveries diverged");
+    assert_eq!(sw_new.counters(), sw_ref.counters(), "counters diverged");
+    if probed {
+        let e_new: ProbeLog = rec_new.with(|r| r.iter().cloned().collect());
+        let e_ref: ProbeLog = rec_ref.with(|r| r.iter().cloned().collect());
+        assert_eq!(e_new, e_ref, "probe streams diverged");
+    }
+    sw_new.counters()
+}
+
+/// The unprobed kernel — the instantiation sweeps and benchmarks run,
+/// with every probe site compiled out — against the unprobed reference
+/// on the load grid.
+#[test]
+fn rtl_unprobed_matches_scalar_reference_on_load_grid() {
+    let cfg = SwitchConfig::symmetric(4, 16);
+    for load in LOADS {
+        let rows = render_rows(
+            4,
+            cfg.stages(),
+            load,
+            0.0,
+            2_000,
+            0x0BE + (load * 100.0) as u64,
+        );
+        lockstep_rtl(&cfg, &rows, false);
+    }
+}
+
+/// The benchmark's switch (8×8, 16 stages, 32 slots) fed at 0.85 load
+/// by the benchmark's feeders: buffer-full drops, §3.2 collisions and
+/// fused reads all occur, unprobed.
+#[test]
+fn rtl_matches_scalar_reference_on_the_benchmark_switch() {
+    use telegraphos::traffic::{DestDist, PacketFeeder};
+    let (n, cycles) = (8, 12_000);
+    let cfg = SwitchConfig::symmetric(n, 32);
+    let s = cfg.stages();
+    let mut feeders: Vec<PacketFeeder> = (0..n)
+        .map(|i| PacketFeeder::random(i, s, 0.85, DestDist::uniform(n), 5, n as u64))
+        .collect();
+    let mut rows = Vec::new();
+    for c in 0.. {
+        if c == cycles {
+            feeders.iter_mut().for_each(PacketFeeder::halt);
+        }
+        if c >= cycles && !feeders.iter().any(PacketFeeder::busy) {
+            break;
+        }
+        rows.push(feeders.iter_mut().map(|f| f.tick(c)).collect());
+    }
+    let ctr = lockstep_rtl(&cfg, &rows, false);
+    assert!(ctr.dropped_buffer_full > 0, "no buffer-full drop: {ctr:?}");
+    assert!(ctr.fused_reads > 0, "no fused read: {ctr:?}");
+    assert!(ctr.rw_collisions > 0, "no read/write collision: {ctr:?}");
+}
+
+/// Store-and-forward (reads wait for the tail, so the readiness rule
+/// and the read-time checksum scrub differ) and multicast (one slot,
+/// several queue heads, one fused copy at most), probed and unprobed.
+#[test]
+fn rtl_matches_scalar_reference_store_and_forward_and_multicast() {
+    let mut sf = SwitchConfig::symmetric(4, 16);
+    sf.cut_through = false;
+    sf.fused_cut_through = false;
+    let mc = SwitchConfig::symmetric(4, 16);
+    for probed in [false, true] {
+        let rows = render_rows(4, sf.stages(), 0.95, 0.0, 2_000, 0x5F);
+        let ctr = lockstep_rtl(&sf, &rows, probed);
+        assert_eq!(ctr.fused_reads, 0);
+        let rows = render_rows(4, mc.stages(), 0.95, 0.3, 2_000, 0x3C);
+        let ctr = lockstep_rtl(&mc, &rows, probed);
+        assert!(ctr.departed > ctr.arrived, "no multicast copies: {ctr:?}");
     }
 }
 
